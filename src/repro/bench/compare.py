@@ -13,6 +13,11 @@ and flags a regression only when ``median_cur - median_base`` exceeds it.
 1.4826 rescales a MAD to a normal-equivalent sigma, so ``k`` reads as "k
 sigmas of combined noise".  Improvements (negative deltas beyond the
 threshold) are reported too, but never fail the gate.
+
+A MAD from fewer than ``MIN_RUNS`` (3) runs is not an estimate of noise:
+the MAD of two runs is half their gap, so one slow run on a drifting host
+can widen the gate past a 2x slowdown.  When either sample is that small
+the MAD term is dropped and only the floors gate, which is never looser.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = ["Thresholds", "Delta", "Comparison", "compare_docs",
 
 #: MAD-to-sigma consistency factor for normally distributed noise.
 MAD_SCALE = 1.4826
+#: runs per side before a sample's MAD is trusted as a noise estimate.
+MIN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,13 @@ class Thresholds:
     abs_floor: float = 5e-4  # seconds
 
     def threshold_s(self, base_median: float, base_mad: float,
-                    cur_mad: float) -> float:
-        return max(self.k * MAD_SCALE * (base_mad + cur_mad),
-                   self.rel_floor * base_median,
-                   self.abs_floor)
+                    cur_mad: float, *, runs: int | None = None) -> float:
+        """Regression threshold; ``runs`` is the smaller sample's size
+        (``None``: trust the MADs)."""
+        floor = max(self.rel_floor * base_median, self.abs_floor)
+        if runs is not None and runs < MIN_RUNS:
+            return floor
+        return max(self.k * MAD_SCALE * (base_mad + cur_mad), floor)
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,8 @@ class Comparison:
         self.notes.extend(other.notes)
 
 
-def _stats(block: Mapping[str, Any]) -> tuple[float, float]:
-    return float(block["median"]), float(block["mad"])
+def _stats(block: Mapping[str, Any]) -> tuple[float, float, int]:
+    return float(block["median"]), float(block["mad"]), len(block["runs"])
 
 
 def compare_docs(base: Mapping[str, Any], cur: Mapping[str, Any],
@@ -118,10 +128,15 @@ def compare_docs(base: Mapping[str, Any], cur: Mapping[str, Any],
                 f"{name}: env.{key} differs (baseline "
                 f"{base['env'].get(key)!r}, current {cur['env'].get(key)!r})")
 
-    b_med, b_mad = _stats(base["total"]["wall_s"])
-    c_med, c_mad = _stats(cur["total"]["wall_s"])
+    b_med, b_mad, b_runs = _stats(base["total"]["wall_s"])
+    c_med, c_mad, c_runs = _stats(cur["total"]["wall_s"])
+    if min(b_runs, c_runs) < MIN_RUNS:
+        out.notes.append(
+            f"{name}: fewer than {MIN_RUNS} runs (baseline {b_runs}, "
+            f"current {c_runs}); MADs not trusted, gating on the floors only")
     out.deltas.append(Delta(name, "total", b_med, c_med,
-                            th.threshold_s(b_med, b_mad, c_mad)))
+                            th.threshold_s(b_med, b_mad, c_mad,
+                                           runs=min(b_runs, c_runs))))
 
     base_stages = base["stages"]
     cur_stages = cur["stages"]
@@ -132,10 +147,11 @@ def compare_docs(base: Mapping[str, Any], cur: Mapping[str, Any],
         if stage not in base_stages:
             out.notes.append(f"{name}: stage {stage!r} is new (no baseline)")
             continue
-        b_med, b_mad = _stats(base_stages[stage]["self_s"])
-        c_med, c_mad = _stats(cur_stages[stage]["self_s"])
+        b_med, b_mad, b_runs = _stats(base_stages[stage]["self_s"])
+        c_med, c_mad, c_runs = _stats(cur_stages[stage]["self_s"])
         out.deltas.append(Delta(name, f"stage:{stage}", b_med, c_med,
-                                th.threshold_s(b_med, b_mad, c_mad)))
+                                th.threshold_s(b_med, b_mad, c_mad,
+                                               runs=min(b_runs, c_runs))))
     return out
 
 

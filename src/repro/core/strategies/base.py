@@ -8,6 +8,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.kmeans import assign1d
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import NumarckConfig
 
@@ -46,14 +48,10 @@ class BinModel:
         """Nearest-representative bin index (int32, in ``[0, n_bins)``).
 
         Because representatives are sorted, nearest-neighbour assignment is
-        a binary search against adjacent midpoints -- O(n log m).
+        a binary search against adjacent midpoints -- O(n log m)
+        (:func:`~repro.kmeans.assign1d`).
         """
-        reps = self.representatives
-        if reps.size == 1:
-            return np.zeros(np.asarray(ratios).shape, dtype=np.int32)
-        mids = 0.5 * (reps[:-1] + reps[1:])
-        return np.searchsorted(mids, np.asarray(ratios, dtype=np.float64),
-                               side="left").astype(np.int32)
+        return assign1d(ratios, self.representatives)
 
     def approximate(self, ratios: np.ndarray) -> np.ndarray:
         """Representative ratio of each point's assigned bin."""

@@ -15,8 +15,10 @@ the complete algorithm:
   (local assign + local partial sums, allreduce of sums/counts).
 
 1-D assignment uses ``searchsorted`` against sorted centroid midpoints,
-which is O(n log k) instead of the O(n k) distance matrix and is the main
-reason the clustering strategy stays fast at checkpoint scale.
+which is O(n log k) instead of the O(n k) distance matrix.  Lloyd sorts
+its points once and then searches the k - 1 midpoints into them each
+sweep, O(k log n) plus an O(n) relabel; this is the main reason the
+clustering strategy stays fast at checkpoint scale.
 """
 
 from repro.kmeans.init import (histogram_init, kmeanspp_init, random_init,

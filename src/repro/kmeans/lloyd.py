@@ -4,8 +4,13 @@ The 1-D specialisation matters: NUMARCK clusters *scalar* change ratios
 with k up to 2^B - 1 (255 or 511), and the O(n k) distance matrix of the
 textbook formulation would dominate compression time.  For sorted
 centroids, the nearest centroid of a scalar x is found by binary search
-against the midpoints between adjacent centroids, giving O(n log k)
-assignment with two NumPy calls.
+against the midpoints between adjacent centroids (:func:`assign1d`,
+O(n log k)).  Lloyd goes one step further: it sorts the points once
+(O(n log n)), and each sweep then searches the k - 1 midpoints into the
+sorted points (O(k log n)), expands the resulting cluster boundaries into
+labels and gathers them back into input order (O(n)).  The labels are
+identical to :func:`assign1d`'s, so the moments, centroids and every
+container byte are too.
 """
 
 from __future__ import annotations
@@ -68,11 +73,53 @@ def assign1d(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.searchsorted(mids, data, side="left").astype(np.int32)
 
 
-def _moments(data: np.ndarray, labels: np.ndarray, k: int,
+class _Presorted:
+    """Scalar points sorted once, for repeated assignment against sorted
+    centroids.
+
+    :meth:`assign` returns the same labels as :func:`assign1d` (ties at a
+    midpoint go to the lower centroid), plus exact per-cluster sizes.
+    ``argsort`` and ``searchsorted`` share NumPy's total order (NaN
+    last), so non-finite points land where :func:`assign1d` puts them.
+    """
+
+    def __init__(self, data: np.ndarray) -> None:
+        # Tied points share a label, so the sort need not be stable.
+        order = np.argsort(data)
+        self.sorted = data[order]
+        # rank[i] = sorted position of point i; gathering through it puts
+        # sorted-order labels back in input order.
+        self.rank = np.empty(data.size, dtype=np.intp)
+        self.rank[order] = np.arange(data.size)
+
+    def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(labels, sizes)``: int32 label per point in input order, and
+        the int64 number of points in each of the ``k`` clusters."""
+        n, k = self.sorted.size, centroids.size
+        # bounds[j + 1] = number of points <= the j-th midpoint = the
+        # sorted position where cluster j + 1 starts.  Midpoints of sorted
+        # centroids are sorted, except that adjacent -inf and +inf
+        # centroids give a NaN one; sorting the bounds then still labels
+        # each point with the number of midpoints below it.
+        bounds = np.empty(k + 1, dtype=np.intp)
+        bounds[0], bounds[k] = 0, n
+        mids = 0.5 * (centroids[:-1] + centroids[1:])
+        bounds[1:k] = np.sort(np.searchsorted(self.sorted, mids, side="right"))
+        sizes = np.diff(bounds)
+        labels = np.repeat(np.arange(k, dtype=np.int32), sizes)[self.rank]
+        return labels, sizes
+
+
+def _moments(data: np.ndarray, labels: np.ndarray, sizes: np.ndarray,
              weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster (weighted) counts and value sums under ``labels``."""
+    """Per-cluster (weighted) counts and value sums under ``labels``.
+
+    Unweighted counts are the exact cluster ``sizes``; sums accumulate in
+    input order, so they match a plain ``bincount`` bit for bit.
+    """
+    k = sizes.size
     if weights is None:
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        counts = sizes.astype(np.float64)
         sums = np.bincount(labels, weights=data, minlength=k)
     else:
         counts = np.bincount(labels, weights=weights, minlength=k)
@@ -119,9 +166,12 @@ def kmeans1d(
 
     Notes
     -----
-    Centroids are re-sorted after every update so the midpoint-search
-    assignment stays valid.  Sorting k scalars is negligible next to the
-    O(n log k) assignment.
+    The points are sorted once (O(n log n)).  Each sweep then costs an
+    O(k log n) search of the centroid midpoints into the sorted points, an
+    O(n) gather of the labels back into input order and an O(n)
+    ``bincount`` of the sums; labels match :func:`assign1d` exactly.
+    Centroids are re-sorted after every update so the midpoint search
+    stays valid; sorting k scalars is negligible.
     """
     arr = np.asarray(data, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -158,8 +208,9 @@ def kmeans1d(
         # inertia after any sweep is sumsq - 2 c.S + n.c^2, so the history
         # costs two k-sized dot products per sweep instead of an O(n) pass.
         sumsq = float(np.sum(arr * arr if w is None else arr * arr * w))
-        labels = assign1d(arr, cent)
-        counts, sums = _moments(arr, labels, k, w)
+        points = _Presorted(arr)
+        labels, sizes = points.assign(cent)
+        counts, sums = _moments(arr, labels, sizes, w)
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -170,8 +221,8 @@ def kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent))) if k else 0.0
             cent = new
-            labels = assign1d(arr, cent)
-            counts, sums = _moments(arr, labels, k, w)
+            labels, sizes = points.assign(cent)
+            counts, sums = _moments(arr, labels, sizes, w)
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums) + float(counts @ (cent * cent)),
                 0.0,

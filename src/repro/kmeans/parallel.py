@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kmeans.lloyd import KMeansResult, assign1d
+from repro.kmeans.lloyd import KMeansResult, _Presorted
 from repro.parallel.comm import Comm, SerialComm
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["parallel_kmeans1d"]
 
 
-def _local_sums(data: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _local_sums(data: np.ndarray, labels: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
     """Stack of per-cluster (sum, count) rows for this rank's shard."""
-    out = np.zeros((k, 2), dtype=np.float64)
-    out[:, 0] = np.bincount(labels, weights=data, minlength=k)
-    out[:, 1] = np.bincount(labels, minlength=k)
+    out = np.zeros((sizes.size, 2), dtype=np.float64)
+    out[:, 0] = np.bincount(labels, weights=data, minlength=sizes.size)
+    out[:, 1] = sizes
     return out
 
 
@@ -95,8 +96,9 @@ def parallel_kmeans1d(
         # it at one allreduce per sweep.
         local_sumsq = float(np.sum(arr * arr)) if arr.size else 0.0
         sumsq = allreduce(local_sumsq)
-        labels = assign1d(arr, cent) if arr.size else np.empty(0, dtype=np.int32)
-        sums = allreduce(_local_sums(arr, labels, k))
+        points = _Presorted(arr)
+        labels, sizes = points.assign(cent)
+        sums = allreduce(_local_sums(arr, labels, sizes))
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -107,8 +109,8 @@ def parallel_kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent)))
             cent = new
-            labels = assign1d(arr, cent) if arr.size else labels
-            sums = allreduce(_local_sums(arr, labels, k))
+            labels, sizes = points.assign(cent)
+            sums = allreduce(_local_sums(arr, labels, sizes))
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums[:, 0])
                 + float(sums[:, 1] @ (cent * cent)),

@@ -24,6 +24,9 @@ small reliable-delivery protocol with bounded waits everywhere:
   rank's pipe ends, so death is usually detected instantly) and deadline
   expiry raise :class:`~repro.parallel.faults.RankFailureError` instead
   of blocking forever;
+* a rank whose function returned sends a BYE frame before its pipes
+  close, so peers still finishing their last collective do not read that
+  EOF as a crash;
 * a :class:`~repro.parallel.faults.RankFaultInjector` can be hooked into
   the frame path to inject crash / hang / drop / bit-flip / transient
   faults for chaos testing, mirroring the disk write hook of PR 1.
@@ -218,7 +221,7 @@ class SerialComm(Comm):
 
 # -- framed reliable-delivery protocol over pipes ------------------------
 
-_DATA, _ACK, _NAK, _HB = 1, 2, 3, 4
+_DATA, _ACK, _NAK, _HB, _BYE = 1, 2, 3, 4, 5
 #: frame header: kind, sequence number, CRC32 of the payload.
 _FRAME = struct.Struct("<BII")
 
@@ -349,6 +352,10 @@ class PipeComm(Comm):
         self._hb_interval = self.resend_wait / 2.0
         self._last_hb = 0.0
         self._dead: dict[int, str] = {}
+        #: peers that announced a clean finish (:meth:`finish`).  Their
+        #: pipes then close, and that EOF is not a crash; such a peer
+        #: counts as lost only if this rank still needs it.
+        self._finished: set[int] = set()
 
     # -- failure bookkeeping ---------------------------------------------
 
@@ -382,6 +389,25 @@ class PipeComm(Comm):
     def _check_alive(self, peer: int) -> None:
         if peer in self._dead:
             raise RankFailureError(peer, self._dead[peer], self._phase)
+        if peer in self._finished and not self._inbox[peer]:
+            raise self._mark_failed(peer, f"rank {peer} already finished")
+
+    def finish(self) -> None:
+        """Tell every live peer this rank completed cleanly.
+
+        ``run_spmd`` calls this after the rank function returns, so peers
+        still busy in their last collective do not mistake the closing
+        pipes for a crash.  Best effort: a peer that is already gone is
+        skipped without being recorded as lost.
+        """
+        frame = _FRAME.pack(_BYE, 0, 0)
+        for peer, conn in self._links.items():
+            if peer in self._dead:
+                continue
+            try:
+                conn.send_bytes(frame)
+            except OSError:
+                pass
 
     # -- low-level pipe operations with transient-error retry -------------
 
@@ -433,6 +459,9 @@ class PipeComm(Comm):
         if kind in (_ACK, _NAK):
             self._ctrl[peer].append((kind, rseq))
             return
+        if kind == _BYE:
+            self._finished.add(peer)
+            return
         if kind != _DATA:
             return  # heartbeat (or unknown): liveness evidence only
         if rseq <= self._recv_seq[peer]:
@@ -471,17 +500,19 @@ class PipeComm(Comm):
         death, hangs, and compute phases -- which is why ``timeout`` must
         exceed the longest single compute phase of the algorithm.
         """
-        conns = {c: p for p, c in self._links.items() if p not in self._dead}
+        conns = {c: p for p, c in self._links.items()
+                 if p not in self._dead and p not in self._finished}
         now = time.monotonic()
         if now - self._last_hb >= self._hb_interval:
             self._last_hb = now
-            for conn, peer in list(conns.items()):
+            heartbeat = _FRAME.pack(_HB, 0, 0)
+            for conn in conns:
                 try:
-                    self._send_control(conn, peer, _HB, 0, t0)
-                except RankFailureError:
-                    del conns[conn]
-                    if peer == focus:
-                        raise
+                    conn.send_bytes(heartbeat)
+                except OSError:
+                    # The peer has exited.  Reading its link below tells a
+                    # clean finish (a BYE frame before EOF) from a crash.
+                    pass
         if not conns:
             if wait_s > 0:
                 time.sleep(min(wait_s, 0.005))
@@ -571,8 +602,7 @@ class PipeComm(Comm):
                     now - t0)
             if now >= wait_until:
                 return "silent"
-            if dest in self._dead:
-                raise RankFailureError(dest, self._dead[dest], self._phase)
+            self._check_alive(dest)
             self._service_links(min(wait_until, deadline) - now, t0,
                                 focus=dest)
 
@@ -704,6 +734,7 @@ def _spmd_child(rank: int, size: int, all_links: list[dict[int, Any]],
                     attempt=attempt, **comm_kwargs)
     try:
         value = fn(comm, *args, **kwargs)
+        comm.finish()
         result_conn.send(_RankResult(rank, value=value))
     except Exception as exc:  # noqa: BLE001 - relayed to the parent
         result_conn.send(_RankResult(rank, error=f"{type(exc).__name__}: {exc}",

@@ -23,8 +23,11 @@ from repro.bench import (
 
 #: the cheapest real scenario -- the runner tests go through it.
 FAST = "cmip_equal_width"
-#: a scenario whose hottest stage is tens of ms -- comfortably above the
-#: comparator's absolute noise floor, so gating tests are deterministic.
+#: a scenario whose hottest stage is well above the comparator's absolute
+#: noise floor.  The gating tests run it at full size (200k points, ~15 ms
+#: in ``kmeans.lloyd``): at quick size the stage takes ~4 ms, and a burst
+#: of host noise spanning two of three runs can widen the MAD gate past a
+#: 2x shift.
 HOT = "kmeans_fit"
 
 
@@ -35,7 +38,7 @@ def quick_doc():
 
 @pytest.fixture(scope="module")
 def hot_doc():
-    return run_scenario(HOT, quick=True, repeats=3, memory=False)
+    return run_scenario(HOT, quick=False, repeats=3, memory=False)
 
 
 class TestRobustStats:
@@ -180,6 +183,34 @@ class TestCompare:
         quiet = th.threshold_s(1.0, 0.001, 0.001)
         noisy = th.threshold_s(1.0, 0.1, 0.1)
         assert noisy == pytest.approx(quiet * 100)
+
+    def test_two_run_spread_cannot_hide_two_x_slowdown(self, hot_doc):
+        # Two runs 17% apart (about the host drift) give a MAD of 8.5% of
+        # the median, and 4 sigmas of two such MADs exceed a 2x slowdown.
+        # With fewer than 3 runs the gate drops the MADs and still flags it.
+        base = copy.deepcopy(hot_doc)
+        base["repeats"] = 2
+        blocks = [base["total"]["wall_s"]] + [
+            st["self_s"] for st in base["stages"].values()]
+        for block in blocks:
+            m = block["median"]
+            block.update(runs=[m * 0.915, m * 1.085], mad=m * 0.085)
+        hottest = max(base["stages"],
+                      key=lambda s: base["stages"][s]["self_s"]["median"])
+        m = base["stages"][hottest]["self_s"]["median"]
+        assert Thresholds().threshold_s(m, m * 0.085, m * 0.085) > m
+        comparison = compare_docs(base, _slow_stage(base, hottest, 2.0))
+        assert f"stage:{hottest}" in [d.metric for d in comparison.regressions]
+        assert "REGRESSED" in comparison_table(comparison)
+        assert any("fewer than 3 runs" in n for n in comparison.notes)
+
+    def test_min_runs_drops_mad_term_only(self):
+        th = Thresholds(k=4.0, rel_floor=0.25, abs_floor=5e-4)
+        assert th.threshold_s(1.0, 0.1, 0.1, runs=2) == pytest.approx(0.25)
+        assert th.threshold_s(1.0, 0.1, 0.1, runs=3) == \
+            th.threshold_s(1.0, 0.1, 0.1)
+        assert th.threshold_s(1.0, 0.1, 0.1, runs=2) <= \
+            th.threshold_s(1.0, 0.1, 0.1, runs=3)
 
     def test_scenario_mismatch_raises(self, quick_doc):
         other = copy.deepcopy(quick_doc)

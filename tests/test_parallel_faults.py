@@ -240,6 +240,45 @@ class TestDeadlockFreedom:
         assert all(o.ok and o.value[0] == "rank-failure" for o in survivors)
 
 
+def _early_finish_worker(comm):
+    # Rank 1 leaves right after the collective; rank 2 sends late, so
+    # ranks 0 and 2 are still servicing every link when rank 1's pipes
+    # close.
+    comm.allreduce(1)
+    if comm.rank == 2:
+        time.sleep(0.3)
+        comm.send("late", 0)
+    elif comm.rank == 0:
+        comm.recv(2)
+    return comm.lost_ranks
+
+
+def _wait_for_finished_worker(comm):
+    if comm.rank == 0:
+        try:
+            comm.recv(1)  # rank 1 returns without ever sending
+        except RankFailureError as exc:
+            return ("rank-failure", exc.rank)
+    return ("ok", None)
+
+
+class TestCleanFinish:
+    """A rank that returned closes its pipes; that EOF is not a crash."""
+
+    def test_finished_rank_is_not_reported_lost(self):
+        for _ in range(3):
+            lost = run_spmd(_early_finish_worker, 3, comm_timeout=5.0,
+                            timeout=RUN_TIMEOUT)
+            assert lost == [(), (), ()]
+
+    def test_waiting_on_a_finished_rank_fails_fast(self):
+        t0 = time.monotonic()
+        results = run_spmd(_wait_for_finished_worker, 3, comm_timeout=20.0,
+                           timeout=RUN_TIMEOUT)
+        assert results[0] == ("rank-failure", 1)
+        assert time.monotonic() - t0 < 10.0
+
+
 class TestRecoverableFaults:
     """Drop / bit-flip / transient-error faults are absorbed by the
     resend/retry layer: the collective completes with correct values."""
