@@ -41,6 +41,12 @@ class CheckpointChain:
             chain.append(d)
         restart_state = chain.reconstruct()          # latest iteration
         earlier       = chain.reconstruct(3)         # iteration index 3
+
+    The running reference (the base the next append encodes against) is
+    kept between appends.  A chain rebuilt from a container, or cut back
+    by :meth:`truncate`, leaves it unset and replays it from the stored
+    deltas on its first :meth:`append`, so a chain that is only read
+    decodes each delta once.
     """
 
     def __init__(self, full_checkpoint: np.ndarray,
@@ -49,8 +55,9 @@ class CheckpointChain:
         self._full = np.array(full_checkpoint, dtype=np.float64, copy=True)
         self._deltas: list[EncodedIteration] = []
         self._stats: list[CompressionStats] = []
-        # Reference state for the *next* append.
-        self._ref = self._full.copy()
+        # Reference state for the *next* append; ``None`` until an append
+        # needs it (see _reference).
+        self._ref: np.ndarray | None = None
         # With config.adaptive, appends share one stateful encoder so the
         # fitted bin model carries across iterations (drift-validated).
         self._adaptive = (AdaptiveEncoder(self.config)
@@ -65,18 +72,34 @@ class CheckpointChain:
             raise FormatError(
                 f"iteration shape {arr.shape} does not match chain shape {self._full.shape}"
             )
+        ref = self._reference()
         if self._adaptive is not None:
-            encoded = self._adaptive.encode(self._ref, arr)
+            encoded = self._adaptive.encode(ref, arr)
         else:
-            encoded, _ = encode_pair(self._ref, arr, self.config)
-        stats = iteration_stats(self._ref, arr, encoded)
+            encoded, _ = encode_pair(ref, arr, self.config)
+        stats = iteration_stats(ref, arr, encoded)
         self._deltas.append(encoded)
         self._stats.append(stats)
         if self.config.reference == "original":
             self._ref = arr.astype(np.float64, copy=True)
         else:
-            self._ref = decode_iteration(self._ref, encoded)
+            self._ref = decode_iteration(ref, encoded)
         return stats
+
+    def _reference(self) -> np.ndarray:
+        """The running reference, replayed from the stored deltas when
+        unset.  After a load that is the last *decoded* state, under
+        either reference mode: the true originals are not stored."""
+        if self._ref is None:
+            self._ref = self._replay(len(self._deltas))
+        return self._ref
+
+    def _replay(self, n_deltas: int) -> np.ndarray:
+        """Decode the full checkpoint through the first ``n_deltas``."""
+        state = self._full.copy()
+        for enc in self._deltas[:n_deltas]:
+            state = decode_iteration(state, enc)
+        return state
 
     def extend(self, iterations: Sequence[np.ndarray]) -> list[CompressionStats]:
         """Append several iterations; returns their stats in order."""
@@ -89,8 +112,8 @@ class CheckpointChain:
         Used after salvaging damaged files: a multi-variable checkpoint
         torn mid-iteration leaves chains of unequal length, and resuming
         requires cutting them back to a common depth.  The running
-        reference is replayed from the kept deltas, so further appends
-        behave like appends to a freshly loaded chain.
+        reference is replayed from the kept deltas on the next append,
+        so further appends behave like appends to a freshly loaded chain.
         """
         if not 1 <= n_iterations <= len(self):
             raise IndexError(
@@ -100,10 +123,7 @@ class CheckpointChain:
             return
         self._deltas = self._deltas[: n_iterations - 1]
         self._stats = self._stats[: n_iterations - 1]
-        state = self._full.copy()
-        for enc in self._deltas:
-            state = decode_iteration(state, enc)
-        self._ref = state
+        self._ref = None
         if self._adaptive is not None:
             # The cached model may belong to a dropped suffix; refit cold.
             self._adaptive.reset()
@@ -143,10 +163,7 @@ class CheckpointChain:
         it = last if iteration is None else iteration
         if not 0 <= it <= last:
             raise IndexError(f"iteration {it} out of range [0, {last}]")
-        state = self._full.copy()
-        for enc in self._deltas[:it]:
-            state = decode_iteration(state, enc)
-        return state
+        return self._replay(it)
 
     def iter_states(self) -> Iterator[np.ndarray]:
         """Yield the decoded state of every iteration, starting at 0."""

@@ -39,7 +39,9 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.decoder import decode_iteration
+# Unused here (chains replay through CheckpointChain), but kept
+# importable: perfbench's layer tracer wraps this name.
+from repro.core.decoder import decode_iteration  # noqa: F401
 from repro.core.encoder import EncodedIteration
 from repro.core.errors import FormatError, SalvageError, SalvageReport
 from repro.io.durable import atomic_write, retry_io
@@ -326,10 +328,6 @@ class CheckpointFile:
         self.n_records += 1
         self._record_ends.append(start + len(data))
 
-    # Kept as an alias for one release: external callers should use the
-    # public ``write_record``.
-    _write_record = write_record
-
     def truncate_records(self, n: int) -> None:
         """Drop every record after the first ``n`` (writer mode only).
 
@@ -544,12 +542,8 @@ def save_chain(path: str | Path, chain: CheckpointChain, *,
 def _rebuild_chain(full: np.ndarray, deltas: list[EncodedIteration],
                    config: NumarckConfig | None) -> CheckpointChain:
     chain = CheckpointChain(full, config)
+    # The running reference stays unset: the first append replays it.
     chain._deltas = deltas  # noqa: SLF001 - same-module rebuild of private state
-    # Restore the running reference so further appends are well-defined.
-    state = full.copy()
-    for enc in deltas:
-        state = decode_iteration(state, enc)
-    chain._ref = state  # noqa: SLF001
     # Resume model reuse across a save/load cycle: prime the adaptive
     # cache with the last stored table (conservative zero baseline).
     adaptive = chain._adaptive  # noqa: SLF001

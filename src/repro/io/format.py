@@ -189,7 +189,7 @@ def decode_delta_bytes(payload: bytes,
         off += bitmap_bytes
 
         idx_bytes = packed_nbytes(n, nbits)
-        indices = unpack_bits(bytes(buf[off : off + idx_bytes]), n, nbits)
+        indices = unpack_bits(buf[off : off + idx_bytes], n, nbits)
         off += idx_bytes
     except (struct.error, ValueError) as exc:
         raise FormatError(f"corrupt delta payload: {exc}") from exc
@@ -209,7 +209,7 @@ def decode_delta_bytes(payload: bytes,
         shape=shape,
         nbits=int(nbits),
         representatives=reps,
-        indices=indices.astype(np.uint32),
+        indices=indices.astype(np.uint32, copy=False),
         incompressible=incompressible,
         exact_values=exact,
         error_bound=float(error_bound),

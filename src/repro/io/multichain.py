@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.decoder import decode_iteration
 from repro.core.errors import FormatError, SalvageError, SalvageReport
 from repro.io.container import HEADER_SIZE, CheckpointFile, WriteHook
 from repro.io.durable import atomic_write, retry_io
@@ -200,11 +199,8 @@ def _rebuild(fulls: dict[str, np.ndarray], deltas: dict[str, list],
     out: dict[str, CheckpointChain] = {}
     for name, full in fulls.items():
         chain = CheckpointChain(full, config)
+        # The running reference stays unset: the first append replays it.
         chain._deltas = deltas[name]  # noqa: SLF001 - same-package rebuild
-        state = full.copy()
-        for enc in deltas[name]:
-            state = decode_iteration(state, enc)
-        chain._ref = state  # noqa: SLF001
         out[name] = chain
     return out
 

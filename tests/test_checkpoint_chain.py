@@ -107,3 +107,66 @@ class TestErrorBehaviour:
         for s in stats:
             assert s.max_error < 1e-3
             assert 0.0 <= s.incompressible_ratio <= 1.0
+
+
+class TestRunningReference:
+    """A loaded or truncated chain replays its reference only on append."""
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        import repro.core.checkpoint as checkpoint
+
+        calls = []
+        real = checkpoint.decode_iteration
+
+        def counting(prev, enc):
+            calls.append(enc)
+            return real(prev, enc)
+
+        monkeypatch.setattr(checkpoint, "decode_iteration", counting)
+        return calls
+
+    def test_restore_decodes_each_delta_once(self, rng, monkeypatch):
+        from repro.io import chain_from_bytes, chain_to_bytes
+
+        data = _trajectory(rng, n_iter=4)
+        chain = CheckpointChain(data[0], NumarckConfig(error_bound=1e-3))
+        chain.extend(data[1:])
+        blob = chain_to_bytes(chain)
+        calls = self._count_decodes(monkeypatch)
+        loaded = chain_from_bytes(blob)
+        assert calls == []
+        states = list(loaded.iter_states())
+        assert len(calls) == 4
+        for got, want in zip(states, chain.iter_states()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_loaded_append_encodes_like_live_append(self, rng):
+        from repro.io import chain_from_bytes, chain_to_bytes
+        from repro.io.format import encode_delta_bytes
+
+        cfg = NumarckConfig(error_bound=1e-3, reference="reconstructed")
+        data = _trajectory(rng, n_iter=4)
+        live = CheckpointChain(data[0], cfg)
+        live.extend(data[1:4])
+        loaded = chain_from_bytes(chain_to_bytes(live), cfg)
+        live.append(data[4])
+        loaded.append(data[4])
+        assert (encode_delta_bytes(loaded.deltas[-1])
+                == encode_delta_bytes(live.deltas[-1]))
+
+    def test_truncate_replays_on_next_append(self, rng, monkeypatch):
+        cfg = NumarckConfig(error_bound=1e-3, reference="reconstructed")
+        data = _trajectory(rng, n_iter=4)
+        chain = CheckpointChain(data[0], cfg)
+        chain.extend(data[1:])
+        short = CheckpointChain(data[0], cfg)
+        short.extend(data[1:3])
+        calls = self._count_decodes(monkeypatch)
+        chain.truncate(3)
+        assert calls == []
+        chain.append(data[3])
+        # two kept deltas replayed, then the new one applied
+        assert len(calls) == 2 + 1
+        short.append(data[3])
+        np.testing.assert_array_equal(chain.reconstruct(), short.reconstruct())
