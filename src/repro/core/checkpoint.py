@@ -26,7 +26,10 @@ from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration, encode_pair
 from repro.core.errors import FormatError
-from repro.core.metrics import CompressionStats, iteration_stats
+# iteration_stats is unused here (appends take their errors from the
+# encoder), but kept importable: perfbench's layer tracer wraps this name.
+from repro.core.metrics import (CompressionStats, encoding_stats,  # noqa: F401
+                                iteration_stats)
 
 __all__ = ["CheckpointChain"]
 
@@ -75,9 +78,10 @@ class CheckpointChain:
         ref = self._reference()
         if self._adaptive is not None:
             encoded = self._adaptive.encode(ref, arr)
+            report = self._adaptive.last_report
         else:
-            encoded, _ = encode_pair(ref, arr, self.config)
-        stats = iteration_stats(ref, arr, encoded)
+            encoded, report = encode_pair(ref, arr, self.config)
+        stats = encoding_stats(encoded, report.mean_error, report.max_error)
         self._deltas.append(encoded)
         self._stats.append(stats)
         if self.config.reference == "original":

@@ -14,7 +14,9 @@ A point is incompressible when (a) the change ratio is undefined
 (``prev == 0`` or non-finite data), or (b) its assigned bin representative
 misses the true ratio by ``>= E``.  Consequently every decoded point
 satisfies the hard guarantee ``|decoded_ratio - true_ratio| < E`` or is
-bit-exact.
+bit-exact.  That mask -> assign -> bound check -> assembly sequence is
+:class:`~repro.core.quantize.Quantizer`, the one kernel the streamed and
+SPMD encoders share.
 
 **Model reuse** (the adaptive engine's hot path): :func:`encode_pair`
 accepts a ``model_hint`` -- a previously fitted
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro.core.change import change_ratios
 from repro.core.config import NumarckConfig
+from repro.core.quantize import Quantizer
 from repro.core.strategies.base import ApproximationStrategy, BinModel
 from repro.telemetry.accounting import delta_payload_nbytes
 from repro.telemetry.tracer import get_telemetry
@@ -134,6 +137,11 @@ class EncodeReport:
         stateful caller should carry to the next iteration.
     n_candidates:
         Number of compressible candidates this encode considered.
+    mean_error / max_error:
+        Mean and maximum ``|decoded ratio - true ratio|`` over all points
+        (0 at exactly stored ones) -- the error fields of
+        :func:`~repro.core.metrics.iteration_stats`, bit for bit, taken
+        from the quantize pass instead of a second change-ratio pass.
     """
 
     model_reused: bool = False
@@ -141,6 +149,8 @@ class EncodeReport:
     drift: float = 0.0
     fit_fail_fraction: float = 0.0
     n_candidates: int = 0
+    mean_error: float = 0.0
+    max_error: float = 0.0
 
 
 def _fit_model(candidates: np.ndarray, config: NumarckConfig,
@@ -189,87 +199,51 @@ def encode_pair(
         On refit, seed the strategy from the hint's representatives.
     """
     cfg = config if config is not None else NumarckConfig()
-    curr_dtype = np.asarray(curr).dtype
-    value_bits = 32 if curr_dtype == np.float32 else 64
+    curr = np.asarray(curr)
+    value_bits = 32 if curr.dtype == np.float32 else 64
     tel = get_telemetry()
-    with tel.span("encode", n_points=int(np.asarray(curr).size),
-                  strategy=cfg.strategy,
-                  bytes_in=int(np.asarray(curr).nbytes)) as tspan:
+    with tel.span("encode", n_points=int(curr.size), strategy=cfg.strategy,
+                  bytes_in=int(curr.nbytes)) as tspan:
         with tel.span("encode.change_ratios"):
             field = change_ratios(prev, curr)
-        ratios = field.ratios.ravel()
-        forced = field.forced_exact.ravel()
-        n = ratios.size
-        shape = np.asarray(curr).shape
-
         e = cfg.error_bound
-        indices = np.zeros(n, dtype=np.uint32)
-        incompressible = forced.copy()
-
-        if cfg.reserve_zero_bin:
-            small = (np.abs(ratios) < e) & ~forced
-            candidate_mask = ~small & ~forced
-        else:
-            # Ablation mode: no reserved zero index; all defined ratios are
-            # candidates and the table must carry a near-zero bin itself.
-            candidate_mask = ~forced
-
-        cand_idx = np.flatnonzero(candidate_mask)
-        representatives = np.empty(0, dtype=np.float64)
+        q = Quantizer(field, e, cfg.reserve_zero_bin)
+        n_cand = int(q.candidates.size)
+        model: BinModel | None = None
         reused = False
         refitted = False
         drift = 0.0
         fail_fraction = 0.0
-        if cand_idx.size:
-            candidates = ratios[cand_idx]
-            model: BinModel | None = None
-            labels = approx = fail = None
-            if model_hint is not None and model_hint.n_bins:
-                # Validate the cached table: one assign + bound check.  On
-                # a reuse hit these labels ARE the encode assignment, so
-                # validation costs nothing extra.
-                with tel.span("adaptive.validate",
-                              n_candidates=int(cand_idx.size)) as vspan:
-                    labels = model_hint.assign(candidates)
-                    approx = model_hint.representatives[labels]
-                    fail = np.abs(approx - candidates) >= e
-                    fail_fraction = float(fail.mean())
-                    drift = max(0.0, fail_fraction - hint_baseline)
-                    reused = hint_drift is None or drift <= hint_drift
-                    vspan.set(drift=drift, reused=reused)
-                tel.metrics.gauge("adaptive.drift").set(drift)
-                if reused:
-                    model = model_hint
-                    tel.metrics.counter("adaptive.reuse_hits").inc()
-            if model is None:
-                with tel.span("encode.fit", n_candidates=int(cand_idx.size)):
-                    ws = (model_hint.representatives
-                          if model_hint is not None and warm_start else None)
-                    model = _fit_model(candidates, cfg, warm_start=ws)
-                if model_hint is not None:
-                    refitted = True
-                    tel.metrics.counter("adaptive.refits").inc()
-                with tel.span("encode.assign", n_candidates=int(cand_idx.size)):
-                    labels = model.assign(candidates)
-                    approx = model.representatives[labels]
-                    fail = np.abs(approx - candidates) >= e
-                fail_fraction = float(fail.mean())
-            representatives = model.representatives
-            ok = ~fail
-            if cfg.reserve_zero_bin:
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + 1
-            else:
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32)
-            incompressible[cand_idx[fail]] = True
+        if model_hint is not None and model_hint.n_bins and n_cand:
+            # Validate the cached table: one assign + bound check.  On a
+            # reuse hit these labels ARE the encode assignment, so
+            # validation costs nothing extra.
+            with tel.span("adaptive.validate", n_candidates=n_cand) as vspan:
+                fail_fraction = q.check(model_hint) / n_cand
+                drift = max(0.0, fail_fraction - hint_baseline)
+                reused = hint_drift is None or drift <= hint_drift
+                vspan.set(drift=drift, reused=reused)
+            tel.metrics.gauge("adaptive.drift").set(drift)
         elif model_hint is not None and model_hint.n_bins:
             # Nothing to fit: trivially a reuse hit (all points unchanged
             # or exact), and the cached table stays live for the chain.
-            representatives = model_hint.representatives
             reused = True
+        if reused:
+            model = model_hint
             tel.metrics.counter("adaptive.reuse_hits").inc()
-
-        exact_values = np.asarray(curr, dtype=np.float64).ravel()[incompressible].copy()
-        indices[incompressible] = 0
+        elif n_cand:
+            with tel.span("encode.fit", n_candidates=n_cand):
+                ws = (model_hint.representatives
+                      if model_hint is not None and warm_start else None)
+                model = _fit_model(q.candidates, cfg, warm_start=ws)
+            if model_hint is not None:
+                refitted = True
+                tel.metrics.counter("adaptive.refits").inc()
+            with tel.span("encode.assign", n_candidates=n_cand):
+                fail_fraction = q.check(model) / n_cand
+        out = q.finish(curr, model)
+        representatives = (model.representatives if model is not None
+                           else np.empty(0, dtype=np.float64))
 
         max_index = (1 << cfg.nbits) - 1
         if representatives.size > (max_index if cfg.reserve_zero_bin else max_index + 1):
@@ -278,12 +252,12 @@ def encode_pair(
             )
 
         enc = EncodedIteration(
-            shape=tuple(shape),
+            shape=tuple(curr.shape),
             nbits=cfg.nbits,
             representatives=representatives,
-            indices=indices,
-            incompressible=incompressible,
-            exact_values=exact_values,
+            indices=out.indices,
+            incompressible=out.incompressible,
+            exact_values=out.exact_values,
             error_bound=e,
             strategy=cfg.strategy,
             zero_reserved=cfg.reserve_zero_bin,
@@ -303,7 +277,9 @@ def encode_pair(
         refitted=refitted,
         drift=drift,
         fit_fail_fraction=fail_fraction,
-        n_candidates=int(cand_idx.size),
+        n_candidates=n_cand,
+        mean_error=out.mean_error,
+        max_error=out.max_error,
     )
     return enc, report
 

@@ -25,6 +25,7 @@ __all__ = [
     "pearson_r",
     "rmse",
     "iteration_stats",
+    "encoding_stats",
 ]
 
 _VALUE_BITS = 64  # the paper assumes double-precision checkpoints
@@ -171,6 +172,13 @@ def iteration_stats(prev: np.ndarray, curr: np.ndarray,
         field.ratios, encoded.decoded_ratios().reshape(encoded.shape),
         exact_mask=encoded.incompressible.reshape(encoded.shape) | field.forced_exact,
     )
+    return encoding_stats(encoded, mean_err, max_err)
+
+
+def encoding_stats(encoded: EncodedIteration, mean_error: float,
+                   max_error: float) -> CompressionStats:
+    """Per-iteration summary from an encoding and its ratio errors (as the
+    encoder reports them in :class:`~repro.core.encoder.EncodeReport`)."""
     n = encoded.n_points
     n_inc = encoded.n_incompressible
     n_bins = int(encoded.representatives.size)
@@ -179,8 +187,8 @@ def iteration_stats(prev: np.ndarray, curr: np.ndarray,
         n_incompressible=n_inc,
         n_bins=n_bins,
         nbits=encoded.nbits,
-        mean_error=mean_err,
-        max_error=max_err,
+        mean_error=mean_error,
+        max_error=max_error,
         ratio_paper=compression_ratio_paper(n, n_inc, encoded.nbits,
                                             value_bits=encoded.value_bits),
         ratio_actual=compression_ratio_actual(n, n_inc, encoded.nbits, n_bins,

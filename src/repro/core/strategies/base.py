@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kmeans import assign1d
+from repro.kmeans import MidpointGrid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import NumarckConfig
@@ -44,14 +45,23 @@ class BinModel:
     def n_bins(self) -> int:
         return int(self.representatives.size)
 
+    @cached_property
+    def _lookup(self) -> MidpointGrid:
+        return MidpointGrid(self.representatives)
+
     def assign(self, ratios: np.ndarray) -> np.ndarray:
         """Nearest-representative bin index (int32, in ``[0, n_bins)``).
 
-        Because representatives are sorted, nearest-neighbour assignment is
-        a binary search against adjacent midpoints -- O(n log m)
-        (:func:`~repro.kmeans.assign1d`).
+        Because representatives are sorted, the nearest one is found
+        against the midpoints between adjacent representatives, ties going
+        to the lower bin -- the labels of
+        :func:`~repro.kmeans.assign1d`.  The search is an exact uniform-grid
+        lookup, O(1) per point, built on the first call and kept for the
+        model's lifetime (so a model reused across encodes builds it
+        once); tables the grid cannot separate, and non-finite input, are
+        binary-searched instead (:class:`~repro.kmeans.MidpointGrid`).
         """
-        return assign1d(ratios, self.representatives)
+        return self._lookup.assign(ratios)
 
     def approximate(self, ratios: np.ndarray) -> np.ndarray:
         """Representative ratio of each point's assigned bin."""

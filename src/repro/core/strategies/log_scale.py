@@ -45,7 +45,7 @@ def _side_representatives(mags: np.ndarray, nbins: int, error_bound: float) -> n
     edges = _log_edges(lo, hi, nbins)
     # Geometric midpoints; dedupe occupied bins like equal-width does.
     idx = np.clip(np.searchsorted(edges, mags, side="right") - 1, 0, len(edges) - 2)
-    occupied = np.unique(idx)
+    occupied = np.flatnonzero(np.bincount(idx, minlength=len(edges) - 1))
     reps = np.sqrt(edges[occupied] * edges[occupied + 1])
     return reps
 

@@ -51,6 +51,7 @@ from repro.core.change import change_ratios
 from repro.core.config import NumarckConfig
 from repro.core.encoder import EncodedIteration, _fit_model
 from repro.core.errors import FormatError
+from repro.core.quantize import Quantizer
 from repro.core.strategies.base import BinModel
 
 __all__ = ["ChunkRecord", "StreamingEncoder", "decode_stream"]
@@ -144,12 +145,8 @@ class _ChunkedEncoder:
             if prev.shape != curr.shape:
                 raise FormatError("chunk shape mismatch between streams")
             n_points += prev.size
-            field = change_ratios(prev, curr)
-            r = field.ratios
-            if cfg.reserve_zero_bin:
-                cand = r[(np.abs(r) >= cfg.error_bound) & ~field.forced_exact]
-            else:
-                cand = r[~field.forced_exact]
+            cand = Quantizer(change_ratios(prev, curr), cfg.error_bound,
+                             cfg.reserve_zero_bin).candidates
             if cand.size == 0:
                 continue
             lo = min(lo, float(cand.min()))
@@ -185,34 +182,15 @@ class _ChunkedEncoder:
     def _encode_chunk(self, start: int, prev: np.ndarray, curr: np.ndarray,
                       model: BinModel | None) -> ChunkRecord:
         cfg = self.config
-        prev = np.asarray(prev, dtype=np.float64).ravel()
         curr = np.asarray(curr, dtype=np.float64).ravel()
-        field = change_ratios(prev, curr)
-        r = field.ratios
-        n = r.size
-        indices = np.zeros(n, dtype=np.uint32)
-        incompressible = field.forced_exact.copy()
-        if cfg.reserve_zero_bin:
-            cand_mask = (np.abs(r) >= cfg.error_bound) & ~field.forced_exact
-        else:
-            cand_mask = ~field.forced_exact
-        cand_idx = np.flatnonzero(cand_mask)
-        if cand_idx.size:
-            if model is None:
-                incompressible[cand_idx] = True
-            else:
-                cand = r[cand_idx]
-                labels = model.assign(cand)
-                approx = model.representatives[labels]
-                ok = np.abs(approx - cand) < cfg.error_bound
-                offset = 1 if cfg.reserve_zero_bin else 0
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + offset
-                incompressible[cand_idx[~ok]] = True
+        q = Quantizer(change_ratios(np.ravel(prev), curr), cfg.error_bound,
+                      cfg.reserve_zero_bin)
+        out = q.finish(curr, model)
         return ChunkRecord(
             start=start,
-            indices=indices,
-            incompressible=incompressible,
-            exact_values=curr[incompressible].copy(),
+            indices=out.indices,
+            incompressible=out.incompressible,
+            exact_values=out.exact_values,
         )
 
     def encode(self, prev_stream_factory, curr_stream_factory) -> StreamedIteration:

@@ -14,16 +14,18 @@ the complete algorithm:
   :class:`repro.parallel.Comm`, mirroring the paper's MPI formulation
   (local assign + local partial sums, allreduce of sums/counts).
 
-1-D assignment uses ``searchsorted`` against sorted centroid midpoints,
-which is O(n log k) instead of the O(n k) distance matrix.  Lloyd sorts
-its points once and then searches the k - 1 midpoints into them each
-sweep, O(k log n) plus an O(n) relabel; this is the main reason the
+1-D assignment maps each point to its midpoint interval through an
+exact uniform-grid lookup (:class:`MidpointGrid`, O(1) per point, with a
+``searchsorted`` fallback) instead of the O(n k) distance matrix.  Lloyd
+sorts its points once and then searches the k - 1 midpoints into them
+each sweep, O(k log n) plus an O(n) relabel; this is the main reason the
 clustering strategy stays fast at checkpoint scale.
 """
 
 from repro.kmeans.init import (histogram_init, kmeanspp_init, random_init,
                                warm_start_init)
-from repro.kmeans.lloyd import KMeansResult, assign1d, kmeans, kmeans1d
+from repro.kmeans.lloyd import (KMeansResult, MidpointGrid, assign1d, kmeans,
+                                kmeans1d)
 from repro.kmeans.parallel import parallel_kmeans1d
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "kmeans",
     "kmeans1d",
     "assign1d",
+    "MidpointGrid",
     "histogram_init",
     "kmeanspp_init",
     "random_init",

@@ -4,8 +4,11 @@ The 1-D specialisation matters: NUMARCK clusters *scalar* change ratios
 with k up to 2^B - 1 (255 or 511), and the O(n k) distance matrix of the
 textbook formulation would dominate compression time.  For sorted
 centroids, the nearest centroid of a scalar x is found by binary search
-against the midpoints between adjacent centroids (:func:`assign1d`,
-O(n log k)).  Lloyd goes one step further: it sorts the points once
+against the midpoints between adjacent centroids.  :func:`assign1d`
+does that search through a :class:`MidpointGrid` -- a uniform-grid
+lookup with one midpoint per cell, O(1) per point and exactly equal to
+the binary search -- and binary-searches (O(log k) per point) only the
+tables the grid cannot separate.  Lloyd goes one step further: it sorts the points once
 (O(n log n)), and each sweep then searches the k - 1 midpoints into the
 sorted points (O(k log n)), expands the resulting cluster boundaries into
 labels and gathers them back into input order (O(n)).  The labels are
@@ -21,7 +24,12 @@ import numpy as np
 
 from repro.telemetry.tracer import get_telemetry
 
-__all__ = ["KMeansResult", "assign1d", "kmeans1d", "kmeans"]
+__all__ = ["KMeansResult", "MidpointGrid", "assign1d", "kmeans1d", "kmeans"]
+
+#: Most cells a :class:`MidpointGrid` may use (256 KiB of int32
+#: lookup); a table whose midpoints need more cells to sit one per
+#: cell is binary-searched instead.
+GRID_MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,21 +64,103 @@ class KMeansResult:
     inertia_history: tuple[float, ...] = ()
 
 
+class MidpointGrid:
+    """Exact grid lookup of nearest-centroid labels against one *sorted*
+    centroid table.
+
+    A label is the number of midpoints (between adjacent centroids)
+    strictly below the point: ``searchsorted(mids, x, side="left")``, so
+    ties at a midpoint go to the lower centroid.  Instead of a binary
+    search per point, the lookup maps each point to a cell of a uniform
+    grid over ``[mids[0], mids[-1]]``::
+
+        cell(x)  = int(clip((x - mids[0]) * inv, 0, G - 1))
+        label(x) = lut[cell] + (mids_plus[lut[cell]] < x)
+
+    where ``lut[g]`` counts the midpoints in cells before ``g`` and
+    ``mids_plus`` is ``mids`` with ``+inf`` appended.  This is exact, not
+    an approximation: ``cell`` never decreases as ``x`` grows (every step
+    is monotone under rounding), so midpoints in earlier cells are below
+    ``x`` and midpoints in later cells above it; ``G`` is chosen so that
+    each cell holds at most one midpoint (checked on the midpoints
+    themselves, through the same ``cell``), and that one sits at
+    ``mids_plus[lut[cell]]``.  When the cell holds none, that entry lies
+    in a later cell (or is ``+inf``) and the comparison adds nothing.
+
+    Build once per table (O(k + G)); each :meth:`assign` is O(1) per
+    point.  The search falls back to ``searchsorted`` -- same labels,
+    O(log k) per point -- for a table that needs more than
+    :data:`GRID_MAX_CELLS` cells (or has duplicate midpoints), a midpoint
+    span that is not finite, and input holding NaN or infinities.
+    """
+
+    def __init__(self, centroids: np.ndarray) -> None:
+        centroids = np.asarray(centroids, dtype=np.float64)
+        if centroids.ndim != 1 or centroids.size == 0:
+            raise ValueError("centroids must be a non-empty 1-D array")
+        with np.errstate(over="ignore"):  # infinite mids fall back below
+            self.mids = 0.5 * (centroids[:-1] + centroids[1:])
+        #: ``(lut, mids_plus)``, or ``None`` where the search falls back.
+        self._grid: tuple[np.ndarray, np.ndarray] | None = None
+        if self.mids.size == 0:
+            return
+        self._lo = float(self.mids[0])
+        span = float(self.mids[-1]) - self._lo
+        if not np.isfinite(span):
+            return
+        if self.mids.size == 1:
+            # One cell; any positive scale keeps (x - lo) * inv from NaN.
+            self._cells, self._inv = 1, 1.0
+        else:
+            min_gap = float(np.diff(self.mids).min())
+            # Two cells per smallest gap, so rounding cannot merge two
+            # midpoints into one cell; the check below is what decides.
+            gaps = span / min_gap if min_gap > 0.0 else np.inf
+            if not gaps <= GRID_MAX_CELLS / 2:
+                return
+            self._cells = max(2, int(np.ceil(2.0 * gaps)))
+            self._inv = self._cells / span
+            if not np.isfinite(self._inv):
+                return
+        mid_cells = self._cell(self.mids)
+        if np.any(np.diff(mid_cells) <= 0):
+            return
+        lut = np.zeros(self._cells, dtype=np.int32)
+        np.cumsum(np.bincount(mid_cells, minlength=self._cells)[:-1],
+                  out=lut[1:])
+        self._grid = (lut, np.append(self.mids, np.inf))
+
+    def _cell(self, data: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # overflow to +-inf clips fine
+            t = np.subtract(data, self._lo)
+            t *= self._inv
+        np.clip(t, 0, self._cells - 1, out=t)
+        return t.astype(np.int32)
+
+    def assign(self, data: np.ndarray) -> np.ndarray:
+        """int32 label per point, the same shape as ``data``."""
+        data = np.asarray(data, dtype=np.float64)
+        if self.mids.size == 0:
+            return np.zeros(data.shape, dtype=np.int32)
+        if self._grid is None or not np.isfinite(data).all():
+            return np.searchsorted(self.mids, data, side="left").astype(np.int32)
+        lut, mids_plus = self._grid
+        labels = np.take(lut, self._cell(data))
+        labels += np.take(mids_plus, labels) < data
+        return labels
+
+
 def assign1d(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels for scalar data against *sorted* centroids.
 
     Ties at a midpoint go to the lower centroid (``searchsorted`` with
     ``side='left'`` keeps the midpoint itself in the left bin); any
-    consistent rule works for Lloyd convergence.
+    consistent rule works for Lloyd convergence.  The search runs through
+    a :class:`MidpointGrid` (exact, O(1) per point, with a binary-search
+    fallback); build the grid once and call its ``assign`` to label many
+    arrays against one table.
     """
-    data = np.asarray(data, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 1 or centroids.size == 0:
-        raise ValueError("centroids must be a non-empty 1-D array")
-    if centroids.size == 1:
-        return np.zeros(data.shape, dtype=np.int32)
-    mids = 0.5 * (centroids[:-1] + centroids[1:])
-    return np.searchsorted(mids, data, side="left").astype(np.int32)
+    return MidpointGrid(centroids).assign(data)
 
 
 class _Presorted:

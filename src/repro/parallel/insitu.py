@@ -95,20 +95,6 @@ class GlobalStats:
         return self.n_incompressible / self.n_points if self.n_points else 0.0
 
 
-def _local_candidates(prev: np.ndarray, curr: np.ndarray,
-                      cfg: "NumarckConfig") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from repro.core.change import change_ratios
-
-    field = change_ratios(prev, curr)
-    r = field.ratios.ravel()
-    forced = field.forced_exact.ravel()
-    if cfg.reserve_zero_bin:
-        mask = (np.abs(r) >= cfg.error_bound) & ~forced
-    else:
-        mask = ~forced
-    return r, forced, mask
-
-
 def parallel_encode(
     comm: Comm | None,
     local_prev: np.ndarray,
@@ -160,8 +146,10 @@ def parallel_encode(
     from the hinted centers.  The per-point bound E is unaffected either
     way.
     """
+    from repro.core.change import change_ratios
     from repro.core.config import NumarckConfig
     from repro.core.encoder import EncodedIteration, _fit_model
+    from repro.core.quantize import Quantizer
     from repro.core.strategies.base import BinModel
     from repro.kmeans import parallel_kmeans1d
 
@@ -184,15 +172,15 @@ def parallel_encode(
     tel = get_telemetry()
     with tel.span("insitu.parallel_encode", rank=comm.rank, size=comm.size,
                   n_local=int(np.asarray(curr).size)) as tspan:
-        ratios, forced, cand_mask = _local_candidates(prev, curr, cfg)
-        cand = ratios[cand_mask]
+        q = Quantizer(change_ratios(prev, curr), cfg.error_bound,
+                      cfg.reserve_zero_bin)
+        cand = q.candidates
 
         reused = False
         if model_hint is not None and model_hint.n_bins:
             # -- adaptive reuse: collective drift check, O(1) traffic -----
-            local_fail = int(np.count_nonzero(
-                np.abs(model_hint.approximate(cand) - cand) >= cfg.error_bound
-            )) if cand.size else 0
+            # On a reuse hit the labels of this check are the encode's.
+            local_fail = q.check(model_hint)
             with comm.phase("insitu.hint_validate"):
                 totals = _allreduce(np.array([cand.size, local_fail],
                                              dtype=np.int64))
@@ -263,48 +251,31 @@ def parallel_encode(
                 # Safeguard as in the serial strategy: keep the refinement
                 # only if it does not cover fewer local+global points than
                 # the root fit.
-                def global_fails(table: np.ndarray) -> int:
-                    m = BinModel(table)
-                    local = int(np.count_nonzero(
-                        np.abs(m.approximate(cand) - cand) >= cfg.error_bound
-                    )) if cand.size else 0
-                    return _allreduce(local)
-
-                if global_fails(candidate) <= global_fails(reps):
+                if (_allreduce(q.check(BinModel(candidate)))
+                        <= _allreduce(q.check(BinModel(reps)))):
                     reps = candidate
 
         # -- exhaustive local assignment and exactness check ----------------
-        n = ratios.size
-        indices = np.zeros(n, dtype=np.uint32)
-        incompressible = forced.copy()
-        cand_idx = np.flatnonzero(cand_mask)
-        if cand_idx.size:
-            if reps.size:
-                model = BinModel(reps)
-                labels = model.assign(ratios[cand_idx])
-                approx = reps[labels]
-                ok = np.abs(approx - ratios[cand_idx]) < cfg.error_bound
-                offset = 1 if cfg.reserve_zero_bin else 0
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + offset
-                incompressible[cand_idx[~ok]] = True
-            else:
-                incompressible[cand_idx] = True
-
+        if reused:
+            model = model_hint
+        else:
+            model = BinModel(reps) if reps.size else None
+        out = q.finish(curr, model)
         encoded = EncodedIteration(
             shape=curr.shape,
             nbits=cfg.nbits,
             representatives=np.asarray(reps, dtype=np.float64),
-            indices=indices,
-            incompressible=incompressible,
-            exact_values=curr.ravel()[incompressible].copy(),
+            indices=out.indices,
+            incompressible=out.incompressible,
+            exact_values=out.exact_values,
             error_bound=cfg.error_bound,
             strategy=cfg.strategy,
             zero_reserved=cfg.reserve_zero_bin,
             model_reused=reused,
         )
         with comm.phase("insitu.stats"):
-            n_points_global = _allreduce(n)
-            n_incompressible_global = _allreduce(int(incompressible.sum()))
+            n_points_global = _allreduce(int(curr.size))
+            n_incompressible_global = _allreduce(encoded.n_incompressible)
         lost = comm.lost_ranks
         stats = GlobalStats(
             n_points=n_points_global,

@@ -87,7 +87,9 @@ class CompressionService:
         return self
 
     def close(self) -> None:
+        """Drain the queue, then close the chains' held file writers."""
         self.queue.close()
+        self.chains.close()
 
     # -- job submission ------------------------------------------------------
 

@@ -9,13 +9,19 @@ every later job appends an encoded delta.  Each chain wraps one live
 the model hint rides on the chain, not on the request.
 
 Chains are optionally durable.  With a ``store_dir`` every accepted
-iteration is persisted through the crash-consistent container:
-``CheckpointFile.create`` for the full checkpoint, then per-iteration
-``CheckpointFile.append`` (per-record fsync, O(1) in chain length -- the
-:meth:`~repro.restart.manager.RestartManager.persist_incremental`
-pattern).  On startup existing files are re-opened with
-``recover="tail"`` so a torn tail from a crashed server costs the torn
-record, never the chain.
+iteration is persisted through the crash-consistent container, one
+fsync'd record per iteration.  Each chain holds one open
+:class:`~repro.io.container.CheckpointFile` writer -- from
+``CheckpointFile.create`` for the full checkpoint, or from
+``CheckpointFile.append`` on the first delta after a restart -- and
+writes every later delta through it, so an append costs one record
+write, O(1) in chain length (the file is not re-scanned per append).
+The writer stays open until :meth:`ChainRegistry.close`.  A failed write
+closes and drops it and rolls the in-memory chain back to what the file
+holds, so the job fails as a whole and the next append reopens the file
+through ``CheckpointFile.append``, whose scan truncates any torn tail.
+On startup existing files are re-opened with ``recover="tail"`` so a
+torn tail from a crashed server costs the torn record, never the chain.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import re
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -61,6 +67,9 @@ class Chain:
         self.path = path
         self.lock = threading.RLock()
         self.chain: CheckpointChain | None = None
+        #: open writer on ``path`` holding every record of ``chain``, or
+        #: ``None`` until the next write opens it.
+        self._writer: CheckpointFile | None = None
         self.jobs_accepted = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -75,20 +84,26 @@ class Chain:
                 "service.chain.append", chain=self.id,
                 bytes_in=arr.nbytes) as sp:
             if self.chain is None:
-                self.chain = CheckpointChain(arr, self.config)
+                chain = CheckpointChain(arr, self.config)
                 kind = "full"
                 reused = False
                 if self.path is not None:
-                    with CheckpointFile.create(self.path, sync=True) as f:
-                        f.write_full(self.chain.full_checkpoint)
+                    self._write(lambda f: f.write_full(arr), create=True)
+                self.chain = chain
             else:
+                n_before = len(self.chain)
                 self.chain.append(arr)
                 encoded = self.chain.deltas[-1]
                 kind = "delta"
-                reused = bool(getattr(encoded, "model_reused", False))
+                reused = encoded.model_reused
                 if self.path is not None:
-                    with CheckpointFile.append(self.path) as f:
-                        f.write_delta(encoded)
+                    try:
+                        self._write(lambda f: f.write_delta(encoded))
+                    except BaseException:
+                        # Not durable, so not accepted: keep memory in
+                        # step with the file.
+                        self.chain.truncate(n_before)
+                        raise
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
             sp.set(record=kind, model_reused=reused,
@@ -96,6 +111,28 @@ class Chain:
             return {"chain": self.id, "record": kind,
                     "iteration": len(self.chain) - 1,
                     "model_reused": reused}
+
+    def _write(self, record: Callable[[CheckpointFile], None], *,
+               create: bool = False) -> None:
+        """Write one record through the held writer, opening it first
+        when there is none.  Any failure closes and drops the writer."""
+        assert self.path is not None
+        try:
+            if create:
+                self._writer = CheckpointFile.create(self.path, sync=True)
+            elif self._writer is None:
+                self._writer = CheckpointFile.append(self.path)
+            record(self._writer)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close the held writer (the next write reopens the file)."""
+        with self.lock:
+            if self._writer is not None:
+                writer, self._writer = self._writer, None
+                writer.close()
 
     def container_bytes(self) -> bytes:
         """The chain as container bytes -- byte-identical to
@@ -199,6 +236,13 @@ class ChainRegistry:
                     f"config; omit config or use a new chain id"
                 )
             return chain
+
+    def close(self) -> None:
+        """Close every chain's held writer."""
+        with self._lock:
+            chains = list(self._chains.values())
+        for chain in chains:
+            chain.close()
 
     def list(self) -> list[dict[str, Any]]:
         with self._lock:
